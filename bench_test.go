@@ -6,8 +6,7 @@
 // (hundreds of sequences); paper-scale numbers (N up to 20000, the
 // 23-hour baseline) come from the calibrated cluster cost model and are
 // emitted as custom metrics (suffix _sim). cmd/msabench prints the same
-// experiments as human-readable tables; EXPERIMENTS.md records
-// paper-vs-measured.
+// experiments as human-readable tables.
 package samplealign
 
 import (
@@ -522,6 +521,22 @@ func BenchmarkDistanceMatrixTiled(b *testing.B) {
 	}
 }
 
+// BenchmarkKmerRanks is the local-rank pass of one rank of the
+// dist-genome2000 benchmark workload: the k-mer ranks of 1000 proteins
+// from the 5 Mbp synthetic genome against themselves, workers=1.
+func BenchmarkKmerRanks(b *testing.B) {
+	seqs, err := SampleGenomeProteins(GenomeConfig{TargetBP: 5_000_000, MeanProteinLen: 316, Seed: 2008}, 1000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := kmer.MustCounter(bio.Dayhoff6, kmer.DefaultK).Profiles(seqs, 0)
+	for b.Loop() {
+		if _, err := kmer.RanksContext(b.Context(), profiles, profiles, kmer.DefaultRankScale, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGuideTreeWorkers sweeps worker counts over tree building —
 // the second half of guide-tree construction: UPGMA at N=2000 (its
 // O(n²) scans parallelise) and NJ at N=600 (O(n³), the CLUSTALW-scale
@@ -559,16 +574,6 @@ func BenchmarkKmerProfile(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		counter.Profile(data)
-	}
-}
-
-func BenchmarkKmerDistance(b *testing.B) {
-	loadFixtures(b)
-	counter := kmer.MustCounter(bio.Dayhoff6, 6)
-	pa := counter.Profile(fixtures.fam500[0].Data)
-	pb := counter.Profile(fixtures.fam500[1].Data)
-	for i := 0; i < b.N; i++ {
-		kmer.Distance(pa, pb)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Command msabench regenerates every table and figure of the paper's
 // evaluation section. Real experiments run the actual distributed
 // pipeline at laptop scale; paper-scale series come from the calibrated
-// Beowulf cost model (see internal/cluster). EXPERIMENTS.md is written
-// from this tool's output.
+// Beowulf cost model (see internal/cluster).
 //
 // Usage:
 //

@@ -16,7 +16,7 @@
 // model (aligning 20000 easy sequences cannot be cheaper than 2000 hard
 // ones on the same hardware), which is why there are two presets: the
 // Synthetic preset reproduces the Fig. 4/5 shapes, the Genome preset the
-// Fig. 6 shape. EXPERIMENTS.md discusses the discrepancy.
+// Fig. 6 shape.
 package cluster
 
 import (

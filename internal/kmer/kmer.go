@@ -6,14 +6,20 @@
 // Counting runs over a compressed alphabet (bio.Dayhoff6 by default):
 // grouping chemically similar residues makes short k-mers sensitive to
 // distant homology (Edgar, NAR 2004). Sequences become sparse sorted
-// k-mer count profiles so any pair can be compared in O(L) by merging.
+// k-mer count profiles. The O(N²) passes (distance matrix, average
+// distances behind the ranks) compare them with a row table: one
+// profile's counts are scattered into a dense code-indexed table, and
+// every other profile is scored against it with one lookup per entry.
+// Common, the sorted merge of two profiles, is the reference and the
+// fallback for code spaces too large to tabulate.
 package kmer
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/bio"
 	"repro/internal/obs"
@@ -108,7 +114,7 @@ func (c *Counter) Profile(data []byte) Profile {
 			codes = append(codes, code)
 		}
 	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
+	slices.Sort(codes)
 	entries := make([]Entry, 0, len(codes))
 	for i := 0; i < len(codes); {
 		j := i
@@ -156,30 +162,105 @@ func Common(a, b Profile) int {
 // Similarity is the paper's r(x_i,x_j): shared k-mers normalised by the
 // window count of the shorter sequence. It lies in [0,1]; identical
 // sequences score 1.
-func Similarity(a, b Profile) float64 {
-	den := a.Windows
-	if b.Windows < den {
-		den = b.Windows
-	}
+func Similarity(a, b Profile) float64 { return similarity(Common(a, b), a, b) }
+
+// similarity normalises a shared k-mer count by the shorter window
+// count and clamps it to 1: the one floating-point formula behind
+// Similarity, Distance and the row-table kernels, so all of them agree
+// bit for bit.
+func similarity(common int, a, b Profile) float64 {
+	den := min(a.Windows, b.Windows)
 	if den <= 0 {
 		return 0
 	}
-	s := float64(Common(a, b)) / float64(den)
-	if s > 1 {
-		s = 1
-	}
-	return s
+	return min(float64(common)/float64(den), 1)
 }
 
 // Distance is 1 − Similarity: 0 for k-mer-identical sequences, 1 for
 // sequences sharing no k-mers.
 func Distance(a, b Profile) float64 { return 1 - Similarity(a, b) }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// tableBudget caps a row table at 1<<20 codes (4 MiB). The default
+// Dayhoff6 k=6 space is 6^6 = 46656 codes (182 KiB); only a non-default
+// alphabet/k pair, such as the full 20-letter alphabet at k >= 5,
+// exceeds the budget and falls back to the merge in Common.
+const tableBudget = 1 << 20
+
+// table is a dense k-mer count table indexed by code that holds one row
+// profile at a time: load scatters the row's counts, common scores a
+// column profile against them with one branch-free min per column
+// entry, and clear zeroes the row's codes again. A nil table stands for
+// a code space over tableBudget; its methods then use Common.
+type table []int32
+
+func (t table) load(row Profile) {
+	if t == nil {
+		return
 	}
-	return b
+	for _, e := range row.Entries {
+		t[e.Code] = e.Count
+	}
+}
+
+func (t table) clear(row Profile) {
+	if t == nil {
+		return
+	}
+	for _, e := range row.Entries {
+		t[e.Code] = 0
+	}
+}
+
+// common is Common(row, col) for the loaded row.
+func (t table) common(row, col Profile) int {
+	if t == nil {
+		return Common(row, col)
+	}
+	var sum int
+	for _, e := range col.Entries {
+		sum += int(min(t[e.Code], e.Count))
+	}
+	return sum
+}
+
+// distance is Distance(row, col) for the loaded row.
+func (t table) distance(row, col Profile) float64 {
+	return 1 - similarity(t.common(row, col), row, col)
+}
+
+// tables recycles row tables across workers and calls. A pooled table
+// is all zeros: every loaded row is cleared before the table goes back.
+var tables = sync.Pool{New: func() any { return new(table) }}
+
+// withTable runs f with a zeroed table covering the codes [0, span), or
+// with a nil table when span is over tableBudget.
+func withTable(span int, f func(t table)) {
+	if span > tableBudget {
+		f(nil)
+		return
+	}
+	tp := tables.Get().(*table)
+	if len(*tp) < span {
+		*tp = make(table, span)
+	}
+	f((*tp)[:span])
+	// Not deferred: a panic in f can leave a row loaded, and such a
+	// table must not go back to the pool.
+	tables.Put(tp)
+}
+
+// codeSpan is one past the largest k-mer code in the profiles: the
+// table size that covers every code present.
+func codeSpan(sets ...[]Profile) int {
+	span := 0
+	for _, ps := range sets {
+		for _, p := range ps {
+			if n := len(p.Entries); n > 0 {
+				span = max(span, int(p.Entries[n-1].Code)+1)
+			}
+		}
+	}
+	return span
 }
 
 // Matrix is a symmetric distance matrix stored in condensed upper-
@@ -219,10 +300,12 @@ func (m *Matrix) Set(i, j int, v float64) {
 }
 
 // DefaultTileSize is the edge length of the blocks the distance-matrix
-// pair space is tiled into. A 128×128 tile touches 256 profiles' worth
-// of entries — small enough to stay cache-resident while a worker
-// sweeps the tile, large enough that tile dispatch overhead vanishes
-// against the O(tile²) merge work inside.
+// pair space is tiled into. Each row of a 128×128 tile is loaded into
+// the worker's row table once and scored against the tile's 128 column
+// profiles; the table (182 KiB for Dayhoff6 k=6) and those columns
+// (~300 entries of 8 bytes each for a protein) stay cache-resident
+// while the row sweeps them, and the O(tile²) scoring work dwarfs tile
+// dispatch.
 const DefaultTileSize = 128
 
 // DistanceMatrix computes all pairwise k-mer distances between the
@@ -250,12 +333,12 @@ func DistanceMatrixContext(ctx context.Context, profiles []Profile, workers int)
 // upper triangle split into tile×tile blocks handed to workers
 // dynamically (par.ForDynamicCtx). The one k-mer counting pass over
 // the sequences is shared by every tile — profiles arrive precomputed
-// — and within a tile each row profile is merged against the tile's
-// whole column range while it is cache-hot, instead of fanning out per
-// row. Every pair is written by exactly one tile with the same
-// floating-point operations as the sequential loop, so the result is
-// bit-identical for every workers value and every tile size. tile <= 0
-// selects DefaultTileSize.
+// — and within a tile each row profile is loaded into the worker's row
+// table once and scored against the tile's whole column range. Every
+// pair is written by exactly one tile with the same integer count and
+// floating-point operations as Distance, so the result is bit-identical
+// for every workers value and every tile size. tile <= 0 selects
+// DefaultTileSize.
 func DistanceMatrixTiled(ctx context.Context, profiles []Profile, workers int, tile int) (*Matrix, error) {
 	n := len(profiles)
 	m := NewMatrix(n)
@@ -263,18 +346,20 @@ func DistanceMatrixTiled(ctx context.Context, profiles []Profile, workers int, t
 		return m, ctx.Err()
 	}
 	tiles := PairTiles(n, workers, tile)
+	span := codeSpan(profiles)
 	err := par.ForDynamicCtx(ctx, len(tiles), workers, func(t int) {
 		tl := tiles[t]
-		for i := tl.RLo; i < tl.RHi; i++ {
-			pi := profiles[i]
-			jlo := tl.CLo
-			if jlo <= i {
-				jlo = i + 1 // diagonal tile: stay above the diagonal
+		withTable(span, func(tab table) {
+			for i := tl.RLo; i < tl.RHi; i++ {
+				pi := profiles[i]
+				jlo := max(tl.CLo, i+1) // diagonal tile: stay above the diagonal
+				tab.load(pi)
+				for j := jlo; j < tl.CHi; j++ {
+					m.Set(i, j, tab.distance(pi, profiles[j]))
+				}
+				tab.clear(pi)
 			}
-			for j := jlo; j < tl.CHi; j++ {
-				m.Set(i, j, Distance(pi, profiles[j]))
-			}
-		}
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -358,20 +443,37 @@ func AvgDistances(targets, reference []Profile, workers int) []float64 {
 	return out
 }
 
+// rankBlock is how many targets AvgDistancesContext hands a worker at a
+// time; each block borrows one row table.
+const rankBlock = 8
+
 // AvgDistancesContext is AvgDistances bound to a context: this O(N·R)
 // pass dominates the redistribution phases on large inputs, so it stops
-// dispatching rows on cancellation.
+// dispatching blocks of targets on cancellation. Each target is loaded
+// into the worker's row table and scored against the reference in
+// order, so the sum adds the same Distance values in the same order as
+// a plain loop.
 func AvgDistancesContext(ctx context.Context, targets, reference []Profile, workers int) ([]float64, error) {
+	out := make([]float64, len(targets))
 	if len(reference) == 0 {
-		return make([]float64, len(targets)), ctx.Err()
+		return out, ctx.Err()
 	}
-	return par.MapCtx(ctx, len(targets), workers, func(i int) float64 {
-		var sum float64
-		for j := range reference {
-			sum += Distance(targets[i], reference[j])
-		}
-		return sum / float64(len(reference))
+	span := codeSpan(targets, reference)
+	err := par.ForBlocksCtx(ctx, len(targets), rankBlock, workers, func(lo, hi int) {
+		withTable(span, func(tab table) {
+			for i := lo; i < hi; i++ {
+				ti := targets[i]
+				tab.load(ti)
+				var sum float64
+				for _, r := range reference {
+					sum += tab.distance(ti, r)
+				}
+				tab.clear(ti)
+				out[i] = sum / float64(len(reference))
+			}
+		})
 	})
+	return out, err
 }
 
 // Ranks computes the k-mer rank of every target against the reference

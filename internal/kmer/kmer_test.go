@@ -1,9 +1,11 @@
 package kmer
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -103,34 +105,97 @@ func TestSimilarityPropertyBounds(t *testing.T) {
 	}
 }
 
+// edgeSeqs returns random sequences mixed with the inputs a k-mer kernel
+// is most likely to get wrong: low-complexity runs with large repeat
+// counts, sequences shorter than k (Windows = 0), and gapped data with
+// bytes outside the alphabet that break windows.
+func edgeSeqs(rng *rand.Rand, n int) [][]byte {
+	seqs := [][]byte{
+		[]byte(strings.Repeat("A", 400)),
+		[]byte(strings.Repeat("L", 250)),
+		[]byte(strings.Repeat("AC", 180)),
+		[]byte(strings.Repeat("GGWKD", 60)),
+		[]byte("AC"),
+		[]byte(""),
+		[]byte("--A-C--"),
+		[]byte("ACDXEFGBHIK*LMN-PQR--STVWYJACDEF"),
+		[]byte("XXXXXXXXXX"),
+		[]byte(strings.Repeat("A-C-D-E-X", 30)),
+	}
+	for len(seqs) < n {
+		sq := randomSeq(rng, 1+rng.Intn(160))
+		for i := range sq {
+			switch r := rng.Intn(40); {
+			case r == 0:
+				sq[i] = bio.Gap
+			case r == 1:
+				sq[i] = 'X'
+			}
+		}
+		seqs = append(seqs, sq)
+	}
+	return seqs[:n]
+}
+
+// rowCommon is Common(a, b) through a row table holding a, which it
+// checks is all zeros again once a is cleared.
+func rowCommon(t *testing.T, span int, a, b Profile) int {
+	t.Helper()
+	var got int
+	withTable(span, func(tab table) {
+		tab.load(a)
+		got = tab.common(a, b)
+		tab.clear(a)
+		for code, c := range tab {
+			if c != 0 {
+				t.Fatalf("table not cleared: code %d holds %d", code, c)
+			}
+		}
+	})
+	return got
+}
+
 func TestCommonAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	const k = 3
+	// count windows of the ungapped data with no byte outside the
+	// alphabet, exactly the windows Profile keeps.
 	count := func(data []byte) map[uint32]int {
 		m := map[uint32]int{}
-		for i := 0; i+3 <= len(data); i++ {
+		res := bytes.ReplaceAll(data, []byte{bio.Gap}, nil)
+	window:
+		for i := 0; i+k <= len(res); i++ {
 			code := uint32(0)
-			for j := i; j < i+3; j++ {
-				code = code*uint32(bio.Dayhoff6.Len()) + uint32(bio.Dayhoff6.Class(data[j]))
+			for j := i; j < i+k; j++ {
+				cl := bio.Dayhoff6.Class(res[j])
+				if cl < 0 {
+					continue window
+				}
+				code = code*uint32(bio.Dayhoff6.Len()) + uint32(cl)
 			}
 			m[code]++
 		}
 		return m
 	}
-	for trial := 0; trial < 50; trial++ {
-		sa := randomSeq(rng, 10+rng.Intn(100))
-		sb := randomSeq(rng, 10+rng.Intn(100))
-		want := 0
-		ca, cb := count(sa), count(sb)
-		for code, na := range ca {
-			if nb := cb[code]; nb < na {
-				want += nb
-			} else {
-				want += na
+	seqs := edgeSeqs(rng, 40)
+	profiles := make([]Profile, len(seqs))
+	for i, sq := range seqs {
+		profiles[i] = testCounter.Profile(sq)
+	}
+	span := codeSpan(profiles)
+	for a := range seqs {
+		for b := range seqs {
+			want := 0
+			ca, cb := count(seqs[a]), count(seqs[b])
+			for code, na := range ca {
+				want += min(na, cb[code])
 			}
-		}
-		got := Common(testCounter.Profile(sa), testCounter.Profile(sb))
-		if got != want {
-			t.Fatalf("trial %d: Common = %d, brute force = %d", trial, got, want)
+			if got := Common(profiles[a], profiles[b]); got != want {
+				t.Fatalf("(%d,%d): Common = %d, brute force = %d", a, b, got, want)
+			}
+			if got := rowCommon(t, span, profiles[a], profiles[b]); got != want {
+				t.Fatalf("(%d,%d): row table = %d, brute force = %d", a, b, got, want)
+			}
 		}
 	}
 }
@@ -188,30 +253,80 @@ func rowMatrix(profiles []Profile) *Matrix {
 	return m
 }
 
+// kernelCounters are the code spaces the kernels are checked over: the
+// small test space, the pipeline default (Dayhoff6, k=6), and the full
+// amino-acid alphabet at k=6, whose 20^6 codes are over tableBudget and
+// so exercise the merge fallback.
+var kernelCounters = []*Counter{
+	testCounter,
+	MustCounter(bio.Dayhoff6, DefaultK),
+	MustCounter(bio.Identity(bio.AminoAcids), 6),
+}
+
+// kernelProfiles counts n edge-case and random sequences with c.
+func kernelProfiles(c *Counter, seed int64, n int) []Profile {
+	seqs := edgeSeqs(rand.New(rand.NewSource(seed)), n)
+	profiles := make([]Profile, n)
+	for i, sq := range seqs {
+		profiles[i] = c.Profile(sq)
+	}
+	return profiles
+}
+
 // TestDistanceMatrixTiledMatchesRows pins the tiling invariant: for any
 // tile size — degenerate 1×1 tiles, a size that doesn't divide N, a
-// cache-sized block, one tile covering everything — and any worker
-// count, the tiled kernel is bit-identical to the row-by-row loop.
+// cache-sized block, one tile covering everything — any worker count
+// and any code space, the tiled row-table kernel is bit-identical to
+// the row-by-row loop over the merge Distance.
 func TestDistanceMatrixTiledMatchesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	const n = 70
-	profiles := make([]Profile, n)
-	for i := range profiles {
-		profiles[i] = testCounter.Profile(randomSeq(rng, 40+rng.Intn(120)))
-	}
-	want := rowMatrix(profiles)
-	for _, tile := range []int{1, 7, 64, n} {
-		for _, workers := range []int{1, 4, 8} {
-			got, err := DistanceMatrixTiled(context.Background(), profiles, workers, tile)
-			if err != nil {
-				t.Fatalf("tile=%d workers=%d: %v", tile, workers, err)
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if got.At(i, j) != want.At(i, j) {
-						t.Fatalf("tile=%d workers=%d: mismatch at (%d,%d): %g != %g",
-							tile, workers, i, j, got.At(i, j), want.At(i, j))
+	for ci, c := range kernelCounters {
+		profiles := kernelProfiles(c, 7, n)
+		if span := codeSpan(profiles); (span > tableBudget) != (ci == len(kernelCounters)-1) {
+			t.Fatalf("counter %d: code span %d on the wrong side of the table budget", ci, span)
+		}
+		want := rowMatrix(profiles)
+		for _, tile := range []int{1, 7, 64, n} {
+			for _, workers := range []int{1, 2, 3, 4, 8} {
+				got, err := DistanceMatrixTiled(context.Background(), profiles, workers, tile)
+				if err != nil {
+					t.Fatalf("counter %d tile=%d workers=%d: %v", ci, tile, workers, err)
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+							t.Fatalf("counter %d tile=%d workers=%d: mismatch at (%d,%d): %g != %g",
+								ci, tile, workers, i, j, got.At(i, j), want.At(i, j))
+						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestAvgDistancesMatchesDistanceLoop checks the row-table average
+// distances bit for bit against the plain loop over Distance, for
+// targets inside and outside the reference, in every code space.
+func TestAvgDistancesMatchesDistanceLoop(t *testing.T) {
+	for ci, c := range kernelCounters {
+		profiles := kernelProfiles(c, 9, 60)
+		targets, reference := profiles, profiles[10:35]
+		want := make([]float64, len(targets))
+		for i, ti := range targets {
+			for _, r := range reference {
+				want[i] += Distance(ti, r)
+			}
+			want[i] /= float64(len(reference))
+		}
+		for workers := 1; workers <= 4; workers++ {
+			got, err := AvgDistancesContext(context.Background(), targets, reference, workers)
+			if err != nil {
+				t.Fatalf("counter %d workers=%d: %v", ci, workers, err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("counter %d workers=%d: target %d: %g != %g", ci, workers, i, got[i], want[i])
 				}
 			}
 		}
